@@ -7,10 +7,21 @@
 //! approximation with `p = ⌈b_max/b_min⌉` (Theorem 5.2). The same greedy
 //! is also valid (with ratio 1/2) for equal-sized items, where the
 //! knapsack degenerates to a partition matroid.
+//!
+//! The ground set holds only `(cache, item)` pairs of *requested* items:
+//! an item nobody requests has zero gain under both objectives, so a
+//! 10⁶-item catalog with a few hundred requests costs a few thousand
+//! elements, not |caches|·|catalog|. The `F̃_RNR` oracle indexes requests
+//! by item and holds one distance row per cache node, so a gain costs
+//! O(requests of the item). It reads `w_max` — on an on-demand oracle a
+//! |V|-Dijkstra sweep — only if some requester cannot reach the origin.
 
+use std::cell::OnceCell;
+
+use jcr_graph::oracle::Row;
 use jcr_graph::NodeId;
 use jcr_submodular::constraint::Knapsack;
-use jcr_submodular::greedy::lazy_greedy;
+use jcr_submodular::greedy::{lazy_greedy, GreedyResult};
 use jcr_submodular::Oracle;
 
 use crate::instance::Instance;
@@ -18,34 +29,77 @@ use crate::placement::Placement;
 use crate::placement_opt::{extract_segments, Segment};
 use crate::routing::Routing;
 
-/// Ground-set bookkeeping: element `vi * n_items + i` is "cache item `i`
-/// at `cache_nodes[vi]`".
+/// Ground-set bookkeeping: element `vi * items.len() + j` is "cache item
+/// `items[j]` at `cache_nodes[vi]`". `items` is the ascending list of
+/// requested items, so this numbering is a monotone renumbering of the
+/// dense `vi * num_items + item` and greedy's tie-breaks (smallest element
+/// first) pick the same pairs in the same order.
 struct Ground {
     cache_nodes: Vec<NodeId>,
-    n_items: usize,
+    /// Requested items, ascending.
+    items: Vec<usize>,
+    /// Request indices grouped by item (in `items` order), ascending within
+    /// each group; group `j` is `by_item[start[j]..start[j + 1]]`.
+    by_item: Vec<usize>,
+    start: Vec<usize>,
 }
 
 impl Ground {
     fn new(inst: &Instance) -> Self {
+        let mut by_item: Vec<usize> = (0..inst.requests.len()).collect();
+        // Stable: request indices stay ascending within an item.
+        by_item.sort_by_key(|&k| inst.requests[k].item);
+        let mut items = Vec::new();
+        let mut start = Vec::new();
+        for (pos, &k) in by_item.iter().enumerate() {
+            let item = inst.requests[k].item;
+            if items.last() != Some(&item) {
+                items.push(item);
+                start.push(pos);
+            }
+        }
+        start.push(by_item.len());
         Ground {
             cache_nodes: inst.cache_nodes(),
-            n_items: inst.num_items(),
+            items,
+            by_item,
+            start,
         }
     }
 
     fn size(&self) -> usize {
-        self.cache_nodes.len() * self.n_items
+        self.cache_nodes.len() * self.items.len()
+    }
+
+    /// `(cache position, item position)` of element `e`.
+    fn split(&self, e: usize) -> (usize, usize) {
+        (e / self.items.len(), e % self.items.len())
     }
 
     fn decode(&self, e: usize) -> (NodeId, usize) {
-        (self.cache_nodes[e / self.n_items], e % self.n_items)
+        let (vi, j) = self.split(e);
+        (self.cache_nodes[vi], self.items[j])
+    }
+
+    /// The element for catalog item `item` at cache position `vi`, if the
+    /// item is requested.
+    fn element(&self, vi: usize, item: usize) -> Option<usize> {
+        let j = self.items.binary_search(&item).ok()?;
+        Some(vi * self.items.len() + j)
+    }
+
+    /// Indices of the requests for `items[j]`, ascending.
+    fn requests_of(&self, j: usize) -> &[usize] {
+        &self.by_item[self.start[j]..self.start[j + 1]]
     }
 
     fn knapsack(&self, inst: &Instance) -> Knapsack {
-        let group_of: Vec<usize> = (0..self.size()).map(|e| e / self.n_items).collect();
-        let size: Vec<f64> = (0..self.size())
-            .map(|e| inst.item_size[e % self.n_items])
-            .collect();
+        let (group_of, size) = (0..self.size())
+            .map(|e| {
+                let (vi, j) = self.split(e);
+                (vi, inst.item_size[self.items[j]])
+            })
+            .unzip();
         let capacity: Vec<f64> = self
             .cache_nodes
             .iter()
@@ -69,6 +123,9 @@ impl Ground {
 struct RnrOracle<'a> {
     inst: &'a Instance,
     ground: &'a Ground,
+    /// Distance row rooted at each cache node, in `ground.cache_nodes`
+    /// order (empty when the ground set is).
+    rows: Vec<Row<'a>>,
     /// Current least cost per request (starts at the origin's distance, or
     /// `w_max` when unreachable).
     best: Vec<f64>,
@@ -77,26 +134,26 @@ struct RnrOracle<'a> {
 
 impl<'a> RnrOracle<'a> {
     fn new(inst: &'a Instance, ground: &'a Ground) -> Self {
-        let ap = inst.all_pairs();
-        let w_max = inst.w_max();
+        let oracle = inst.all_pairs().oracle();
+        let w_max = OnceCell::new();
+        let origin_row = inst.origin.map(|o| oracle.row(o));
         let best = inst
             .requests
             .iter()
-            .map(|r| match inst.origin {
-                Some(o) => {
-                    let d = ap.dist(o, r.node);
-                    if d.is_finite() {
-                        d
-                    } else {
-                        w_max
-                    }
-                }
-                None => w_max,
+            .map(|r| match origin_row.as_ref().map(|row| row.dist(r.node)) {
+                Some(d) if d.is_finite() => d,
+                _ => *w_max.get_or_init(|| inst.w_max()),
             })
             .collect();
+        let rows = if ground.size() == 0 {
+            Vec::new()
+        } else {
+            ground.cache_nodes.iter().map(|&v| oracle.row(v)).collect()
+        };
         RnrOracle {
             inst,
             ground,
+            rows,
             best,
             value: 0.0,
         }
@@ -109,15 +166,14 @@ impl Oracle for RnrOracle<'_> {
     }
 
     fn gain(&self, element: usize) -> f64 {
-        let (v, i) = self.ground.decode(element);
-        let ap = self.inst.all_pairs();
-        self.inst
-            .requests
+        let (vi, j) = self.ground.split(element);
+        let dist = self.rows[vi].dists();
+        self.ground
+            .requests_of(j)
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.item == i)
-            .map(|(k, r)| {
-                let d = ap.dist(v, r.node);
+            .map(|&k| {
+                let r = &self.inst.requests[k];
+                let d = dist[r.node.index()];
                 if d.is_finite() {
                     r.rate * (self.best[k] - d).max(0.0)
                 } else {
@@ -128,15 +184,14 @@ impl Oracle for RnrOracle<'_> {
     }
 
     fn insert(&mut self, element: usize) {
-        let (v, i) = self.ground.decode(element);
-        let ap = self.inst.all_pairs();
-        for (k, r) in self.inst.requests.iter().enumerate() {
-            if r.item == i {
-                let d = ap.dist(v, r.node);
-                if d.is_finite() && d < self.best[k] {
-                    self.value += r.rate * (self.best[k] - d);
-                    self.best[k] = d;
-                }
+        let (vi, j) = self.ground.split(element);
+        let dist = self.rows[vi].dists();
+        for &k in self.ground.requests_of(j) {
+            let r = &self.inst.requests[k];
+            let d = dist[r.node.index()];
+            if d.is_finite() && d < self.best[k] {
+                self.value += r.rate * (self.best[k] - d);
+                self.best[k] = d;
             }
         }
     }
@@ -173,8 +228,8 @@ impl CoverOracle {
             let s = weight.len();
             weight.push(seg.weight);
             for &v in &seg.prefix {
-                if let Some(vi) = node_pos[v.index()] {
-                    covers[vi * ground.n_items + seg.item].push(s);
+                if let Some(e) = node_pos[v.index()].and_then(|vi| ground.element(vi, seg.item)) {
+                    covers[e].push(s);
                 }
             }
         }
@@ -215,14 +270,28 @@ impl Oracle for CoverOracle {
     }
 }
 
-/// Greedy placement maximizing `F̃_RNR` under per-node knapsack
-/// constraints — the unlimited-link-capacity case of §5.2.2
-/// (`1/(1+p)`-approximate, Theorem 5.2).
-pub fn greedy_placement_rnr(inst: &Instance) -> Placement {
+fn greedy_rnr(inst: &Instance) -> (Ground, GreedyResult) {
     let ground = Ground::new(inst);
     let mut oracle = RnrOracle::new(inst, &ground);
     let mut constraint = ground.knapsack(inst);
     let result = lazy_greedy(&mut oracle, &mut constraint);
+    (ground, result)
+}
+
+fn greedy_given_routing(inst: &Instance, routing: &Routing) -> (Ground, GreedyResult) {
+    let ground = Ground::new(inst);
+    let segments = extract_segments(inst, routing);
+    let mut oracle = CoverOracle::new(inst, &ground, &segments);
+    let mut constraint = ground.knapsack(inst);
+    let result = lazy_greedy(&mut oracle, &mut constraint);
+    (ground, result)
+}
+
+/// Greedy placement maximizing `F̃_RNR` under per-node knapsack
+/// constraints — the unlimited-link-capacity case of §5.2.2
+/// (`1/(1+p)`-approximate, Theorem 5.2).
+pub fn greedy_placement_rnr(inst: &Instance) -> Placement {
+    let (ground, result) = greedy_rnr(inst);
     ground.placement(&result.selected, inst)
 }
 
@@ -230,11 +299,7 @@ pub fn greedy_placement_rnr(inst: &Instance) -> Placement {
 /// constraints — the placement step of the general-case alternating
 /// optimization for heterogeneous sizes (§5.2.3).
 pub fn greedy_placement_given_routing(inst: &Instance, routing: &Routing) -> Placement {
-    let ground = Ground::new(inst);
-    let segments = extract_segments(inst, routing);
-    let mut oracle = CoverOracle::new(inst, &ground, &segments);
-    let mut constraint = ground.knapsack(inst);
-    let result = lazy_greedy(&mut oracle, &mut constraint);
+    let (ground, result) = greedy_given_routing(inst, routing);
     ground.placement(&result.selected, inst)
 }
 
@@ -250,9 +315,10 @@ pub fn independence_parameter(inst: &Instance) -> usize {
 mod tests {
     use super::*;
     use crate::alg1::f_rnr;
-    use crate::instance::InstanceBuilder;
+    use crate::instance::{InstanceBuilder, Request};
     use crate::placement_opt::f_given_routing;
     use crate::rnr;
+    use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
     use jcr_topo::{Topology, TopologyKind};
 
     fn file_level_inst(seed: u64) -> Instance {
@@ -375,8 +441,9 @@ mod tests {
             for e in 0..n {
                 if mask & (1 << e) != 0 {
                     let (v, i) = ground.decode(e);
-                    used[e / ground.n_items] += inst.item_size[i];
-                    if used[e / ground.n_items] > inst.cache_cap[v.index()] + 1e-9 {
+                    let (vi, _) = ground.split(e);
+                    used[vi] += inst.item_size[i];
+                    if used[vi] > inst.cache_cap[v.index()] + 1e-9 {
                         continue 'mask;
                     }
                     p.set(v, i, true);
@@ -385,5 +452,376 @@ mod tests {
             best = best.max(f_rnr(inst, &p));
         }
         best
+    }
+
+    /// The full-scan implementation the sparse ground set replaced, kept
+    /// as the equivalence reference: a dense `|caches| × |catalog|` ground
+    /// set, a scan of every request per gain, and an eager `w_max`.
+    mod reference {
+        use super::*;
+
+        pub struct DenseGround {
+            cache_nodes: Vec<NodeId>,
+            n_items: usize,
+        }
+
+        impl DenseGround {
+            pub fn new(inst: &Instance) -> Self {
+                DenseGround {
+                    cache_nodes: inst.cache_nodes(),
+                    n_items: inst.num_items(),
+                }
+            }
+
+            fn size(&self) -> usize {
+                self.cache_nodes.len() * self.n_items
+            }
+
+            pub fn decode(&self, e: usize) -> (NodeId, usize) {
+                (self.cache_nodes[e / self.n_items], e % self.n_items)
+            }
+
+            fn knapsack(&self, inst: &Instance) -> Knapsack {
+                let group_of = (0..self.size()).map(|e| e / self.n_items).collect();
+                let size = (0..self.size())
+                    .map(|e| inst.item_size[e % self.n_items])
+                    .collect();
+                let capacity = self
+                    .cache_nodes
+                    .iter()
+                    .map(|&v| inst.cache_cap[v.index()])
+                    .collect();
+                Knapsack::new(group_of, size, capacity)
+            }
+        }
+
+        pub struct FullScanRnr<'a> {
+            inst: &'a Instance,
+            ground: &'a DenseGround,
+            best: Vec<f64>,
+            value: f64,
+        }
+
+        impl<'a> FullScanRnr<'a> {
+            pub fn new(inst: &'a Instance, ground: &'a DenseGround) -> Self {
+                let ap = inst.all_pairs();
+                let w_max = inst.w_max();
+                let best = inst
+                    .requests
+                    .iter()
+                    .map(|r| match inst.origin {
+                        Some(o) => {
+                            let d = ap.dist(o, r.node);
+                            if d.is_finite() {
+                                d
+                            } else {
+                                w_max
+                            }
+                        }
+                        None => w_max,
+                    })
+                    .collect();
+                FullScanRnr {
+                    inst,
+                    ground,
+                    best,
+                    value: 0.0,
+                }
+            }
+        }
+
+        impl Oracle for FullScanRnr<'_> {
+            fn ground_size(&self) -> usize {
+                self.ground.size()
+            }
+
+            fn gain(&self, element: usize) -> f64 {
+                let (v, i) = self.ground.decode(element);
+                let ap = self.inst.all_pairs();
+                self.inst
+                    .requests
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.item == i)
+                    .map(|(k, r)| {
+                        let d = ap.dist(v, r.node);
+                        if d.is_finite() {
+                            r.rate * (self.best[k] - d).max(0.0)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .sum()
+            }
+
+            fn insert(&mut self, element: usize) {
+                let (v, i) = self.ground.decode(element);
+                let ap = self.inst.all_pairs();
+                for (k, r) in self.inst.requests.iter().enumerate() {
+                    if r.item == i {
+                        let d = ap.dist(v, r.node);
+                        if d.is_finite() && d < self.best[k] {
+                            self.value += r.rate * (self.best[k] - d);
+                            self.best[k] = d;
+                        }
+                    }
+                }
+            }
+
+            fn value(&self) -> f64 {
+                self.value
+            }
+        }
+
+        fn dense_cover(inst: &Instance, ground: &DenseGround, routing: &Routing) -> CoverOracle {
+            let mut node_pos = vec![None; inst.graph.node_count()];
+            for (k, &v) in ground.cache_nodes.iter().enumerate() {
+                node_pos[v.index()] = Some(k);
+            }
+            let mut weight = Vec::new();
+            let mut covers = vec![Vec::new(); ground.size()];
+            for seg in extract_segments(inst, routing) {
+                if seg.saved_by_origin || seg.weight <= 0.0 {
+                    continue;
+                }
+                let s = weight.len();
+                weight.push(seg.weight);
+                for &v in &seg.prefix {
+                    if let Some(vi) = node_pos[v.index()] {
+                        covers[vi * ground.n_items + seg.item].push(s);
+                    }
+                }
+            }
+            let covered = vec![false; weight.len()];
+            CoverOracle {
+                weight,
+                covers,
+                covered,
+                value: 0.0,
+            }
+        }
+
+        pub fn greedy_rnr(inst: &Instance) -> (DenseGround, GreedyResult) {
+            let ground = DenseGround::new(inst);
+            let mut oracle = FullScanRnr::new(inst, &ground);
+            let result = lazy_greedy(&mut oracle, &mut ground.knapsack(inst));
+            (ground, result)
+        }
+
+        pub fn greedy_given_routing(
+            inst: &Instance,
+            routing: &Routing,
+        ) -> (DenseGround, GreedyResult) {
+            let ground = DenseGround::new(inst);
+            let mut oracle = dense_cover(inst, &ground, routing);
+            let result = lazy_greedy(&mut oracle, &mut ground.knapsack(inst));
+            (ground, result)
+        }
+    }
+
+    /// A seeded instance on a 30-node custom topology with a 400-item
+    /// catalog of mixed sizes, few of them requested. `island` adds a
+    /// two-node component `{a, b}` the origin cannot reach: `a` caches,
+    /// `b` requests. `ties` uses integer costs and rates so many marginal
+    /// gains tie and the tie-break order is exercised.
+    fn sparse_inst(seed: u64, island: bool, origin: bool, ties: bool) -> Instance {
+        const N_ITEMS: usize = 400;
+        let topo = Topology::generate_custom(30, 45, 6, seed).unwrap();
+        let mut graph = topo.graph.clone();
+        let mut cost: Vec<f64> = if ties {
+            topo.cost.iter().map(|c| c.round().max(1.0)).collect()
+        } else {
+            topo.cost.clone()
+        };
+        let mut cache_cap = vec![0.0; graph.node_count()];
+        for &v in &topo.edge_nodes {
+            cache_cap[v.index()] = 5.0;
+        }
+        let mut requesters = topo.edge_nodes.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let item_size: Vec<f64> = (0..N_ITEMS)
+            .map(|_| if ties { 1.0 } else { rng.gen_range(1.0..4.0) })
+            .collect();
+        let draw = |rng: &mut StdRng, node: NodeId| Request {
+            // A popular head plus a sparse tail across the whole catalog.
+            item: if rng.gen_bool(0.5) {
+                rng.gen_range(0..8usize)
+            } else {
+                rng.gen_range(0..N_ITEMS)
+            },
+            node,
+            rate: if ties {
+                rng.gen_range(1..4usize) as f64
+            } else {
+                rng.gen_range(0.5..20.0)
+            },
+        };
+        let mut requests: Vec<Request> = (0..60)
+            .map(|_| {
+                let node = requesters[rng.gen_range(0..requesters.len())];
+                draw(&mut rng, node)
+            })
+            .collect();
+        if island {
+            let nodes = graph.add_nodes(2);
+            graph.add_edge(nodes[0], nodes[1]);
+            cost.push(2.0);
+            graph.add_edge(nodes[1], nodes[0]);
+            cost.push(2.0);
+            cache_cap.extend([5.0, 0.0]);
+            requesters.push(nodes[1]);
+            requests.extend((0..6).map(|_| draw(&mut rng, nodes[1])));
+        }
+        let edges = graph.edge_count();
+        Instance::new(
+            graph,
+            cost,
+            vec![f64::INFINITY; edges],
+            cache_cap,
+            item_size,
+            requests,
+            origin.then_some(topo.origin),
+        )
+        .unwrap()
+    }
+
+    /// Runs both greedy objectives through the sparse implementation and
+    /// the full-scan reference and requires the same picks in the same
+    /// order with a bit-identical objective value. Returns whether the
+    /// routing-based objective ran (it needs a feasible RNR routing).
+    fn assert_matches_reference(inst: &Instance, label: &str) -> bool {
+        let (ground, fast) = greedy_rnr(inst);
+        let (dense, slow) = reference::greedy_rnr(inst);
+        let picks = |r: &GreedyResult, decode: &dyn Fn(usize) -> (NodeId, usize)| {
+            r.selected.iter().map(|&e| decode(e)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            picks(&fast, &|e| ground.decode(e)),
+            picks(&slow, &|e| dense.decode(e)),
+            "{label}: RNR picks differ"
+        );
+        assert_eq!(
+            fast.value.to_bits(),
+            slow.value.to_bits(),
+            "{label}: RNR value {} vs {}",
+            fast.value,
+            slow.value
+        );
+        assert!(!fast.selected.is_empty(), "{label}: nothing placed");
+
+        // Route on a half-greedy placement so segments cover caches too.
+        let mut seed_placement = Placement::empty(inst);
+        for &e in fast.selected.iter().step_by(2) {
+            let (v, i) = ground.decode(e);
+            seed_placement.set(v, i, true);
+        }
+        let Some(routing) = rnr::route_to_nearest_replica(inst, &seed_placement) else {
+            return false;
+        };
+        let (ground, fast) = greedy_given_routing(inst, &routing);
+        let (dense, slow) = reference::greedy_given_routing(inst, &routing);
+        assert_eq!(
+            picks(&fast, &|e| ground.decode(e)),
+            picks(&slow, &|e| dense.decode(e)),
+            "{label}: routing-greedy picks differ"
+        );
+        assert_eq!(
+            fast.value.to_bits(),
+            slow.value.to_bits(),
+            "{label}: routing-greedy value {} vs {}",
+            fast.value,
+            slow.value
+        );
+        true
+    }
+
+    #[test]
+    fn sparse_greedy_matches_full_scan_reference() {
+        let mut routed = 0;
+        for seed in 0..6u64 {
+            let mut cases = vec![(format!("file-level {seed}"), file_level_inst(40 + seed))];
+            for (island, origin, ties) in [
+                (false, true, false),
+                (false, true, true),
+                (true, true, false),
+                (true, false, true),
+                (false, false, false),
+            ] {
+                cases.push((
+                    format!("sparse {seed} island={island} origin={origin} ties={ties}"),
+                    sparse_inst(seed, island, origin, ties),
+                ));
+            }
+            for (label, inst) in cases {
+                assert!(inst.all_pairs().oracle().is_dense(), "{label}");
+                let on_demand = inst.clone().with_oracle_dense_max(0);
+                assert!(!on_demand.all_pairs().oracle().is_dense(), "{label}");
+                routed += usize::from(assert_matches_reference(&inst, &label));
+                routed += usize::from(assert_matches_reference(
+                    &on_demand,
+                    &format!("{label} on-demand"),
+                ));
+            }
+        }
+        assert!(
+            routed >= 24,
+            "only {routed} cases exercised the routing greedy"
+        );
+    }
+
+    #[test]
+    fn rnr_gains_match_full_scan_bit_for_bit() {
+        // Every marginal gain, not just the greedy's picks: a change in
+        // summation order shifts gains by an ulp long before it flips a
+        // pick.
+        for seed in 0..4u64 {
+            for inst in [
+                file_level_inst(50 + seed),
+                sparse_inst(seed, true, true, false),
+                sparse_inst(seed, false, false, false),
+            ] {
+                let ground = Ground::new(&inst);
+                let dense = reference::DenseGround::new(&inst);
+                let mut fast = RnrOracle::new(&inst, &ground);
+                let mut slow = reference::FullScanRnr::new(&inst, &dense);
+                let n_items = inst.num_items();
+                let to_dense = |e: usize| {
+                    let (vi, j) = ground.split(e);
+                    vi * n_items + ground.items[j]
+                };
+                let (_, picks) = greedy_rnr(&inst);
+                for step in 0..=picks.selected.len() {
+                    for e in 0..ground.size() {
+                        assert_eq!(
+                            fast.gain(e).to_bits(),
+                            slow.gain(to_dense(e)).to_bits(),
+                            "seed {seed} step {step} element {e}"
+                        );
+                    }
+                    assert_eq!(fast.value().to_bits(), slow.value().to_bits());
+                    if let Some(&e) = picks.selected.get(step) {
+                        fast.insert(e);
+                        slow.insert(to_dense(e));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn w_max_is_read_only_for_requesters_the_origin_cannot_reach() {
+        // Every requester reachable: no |V|-row max_cost sweep, only the
+        // origin row and one row per cache node.
+        let inst = sparse_inst(3, false, true, false).with_oracle_dense_max(0);
+        greedy_placement_rnr(&inst);
+        let rows = inst.all_pairs().oracle().rows_computed();
+        assert_eq!(rows, 1 + inst.cache_nodes().len() as u64);
+
+        // The island's requester forces `w_max`, hence the sweep.
+        let inst = sparse_inst(3, true, true, false).with_oracle_dense_max(0);
+        greedy_placement_rnr(&inst);
+        let n = inst.graph.node_count() as u64;
+        let rows = inst.all_pairs().oracle().rows_computed();
+        assert_eq!(rows, 1 + inst.cache_nodes().len() as u64 + n);
     }
 }

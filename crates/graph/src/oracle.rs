@@ -349,8 +349,10 @@ impl DistanceOracle {
         matches!(self.storage, Storage::Dense { .. })
     }
 
-    /// Number of on-demand rows computed so far (0 in dense mode — the
-    /// block is filled at construction and never recomputed).
+    /// Dijkstra rows this oracle has run: cache misses, primed rows and
+    /// the |V| rows of the on-demand [`DistanceOracle::max_cost`] sweep
+    /// (0 in dense mode — the block is filled at construction and never
+    /// recomputed).
     pub fn rows_computed(&self) -> u64 {
         match &self.storage {
             Storage::Dense { .. } => 0,
@@ -472,7 +474,8 @@ impl DistanceOracle {
     ///
     /// Dense mode scans the resident block; on-demand mode streams one
     /// Dijkstra per source through a single scratch — it never stores the
-    /// |V|² result, keeping peak memory O(|V|).
+    /// |V|² result, keeping peak memory O(|V|), but the first call costs
+    /// |V| Dijkstra runs (counted in [`DistanceOracle::rows_computed`]).
     pub fn max_cost(&self) -> f64 {
         *self.max_cost.get_or_init(|| match &self.storage {
             Storage::Dense { dist, .. } => dist
@@ -480,7 +483,7 @@ impl DistanceOracle {
                 .copied()
                 .filter(|d| d.is_finite())
                 .fold(0.0, f64::max),
-            Storage::OnDemand(_) => {
+            Storage::OnDemand(cache) => {
                 let mut scratch = DijkstraScratch::default();
                 let mut max = 0.0f64;
                 for s in self.graph.nodes() {
@@ -491,6 +494,8 @@ impl DistanceOracle {
                         }
                     }
                 }
+                cache.lock().expect("row cache poisoned").rows_computed +=
+                    self.graph.node_count() as u64;
                 max
             }
         })
@@ -1036,6 +1041,23 @@ mod tests {
                 assert_eq!(next.dist(s, t).to_bits(), fresh.dist(s, t).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn on_demand_max_cost_sweep_is_counted_once() {
+        let (g, cost) = ring(9);
+        let lazy = DistanceOracle::with_config(&g, &cost, 0, 4, None);
+        lazy.dist(NodeId::new(0), NodeId::new(3));
+        assert_eq!(lazy.rows_computed(), 1);
+        let max = lazy.max_cost();
+        assert_eq!(lazy.rows_computed(), 1 + g.node_count() as u64);
+        assert_eq!(lazy.max_cost().to_bits(), max.to_bits());
+        assert_eq!(
+            lazy.rows_computed(),
+            1 + g.node_count() as u64,
+            "the sweep runs once"
+        );
+        assert_eq!(lazy.rows_resident(), 1, "the sweep caches no rows");
     }
 
     #[test]

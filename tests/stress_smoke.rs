@@ -1,17 +1,20 @@
 //! Stress-scale smoke test (tier 1, runs on every CI push): a 1000-node
 //! `Stress` topology with a 10⁵-chunk Zipf catalog solves end to end —
-//! oracle priming, greedy placement, route-to-nearest-replica cost —
-//! without ever materializing a dense |V|² distance matrix, and the
-//! resulting cost is bit-identical across worker counts.
+//! oracle priming, placement (a local top-ζ heuristic and the paper's §5
+//! lazy greedy), route-to-nearest-replica cost — without ever
+//! materializing a dense |V|² distance matrix, and the resulting cost is
+//! bit-identical across worker counts.
 //!
 //! This is the beyond-paper scale the flat-memory refactor exists for:
 //! the dense block would be 1000² × (8 + 4) bytes ≈ 12 MB per oracle and
 //! a dense rate matrix 10⁵ × 64 × 8 bytes ≈ 51 MB; the sparse path holds
 //! a few dozen cached rows and a few hundred request triples instead.
 
+use jcr::core::hetero::greedy_placement_rnr;
 use jcr::core::prelude::*;
+use jcr::core::rnr::rnr_cost;
 use jcr::ctx::SolverContext;
-use jcr::graph::NodeId;
+use jcr::graph::{DistanceOracle, NodeId};
 use jcr::topo::{Topology, TopologyKind};
 use jcr::trace::zipf::zipf_demand_sparse;
 use jcr_ctx::rng::{SeedableRng, StdRng};
@@ -67,20 +70,40 @@ fn stress_instance() -> (Instance, Vec<NodeId>) {
     (inst, edge_nodes)
 }
 
-/// Greedy placement + nearest-replica cost through the instance's own
-/// oracle; returns (cost, placement size).
-fn solve(inst: &Instance, edge_nodes: &[NodeId], ctx: &SolverContext) -> (f64, usize) {
-    let ap = inst.all_pairs_with_context(ctx);
-    let oracle = ap.oracle();
+/// Primes the instance's on-demand oracle with the edge-cache and origin
+/// rows; returns the oracle and the number of rows primed.
+fn prime<'a>(
+    inst: &'a Instance,
+    edge_nodes: &[NodeId],
+    ctx: &SolverContext,
+) -> (&'a DistanceOracle, u64) {
+    let oracle = inst.all_pairs_with_context(ctx).oracle();
     assert!(
         !oracle.is_dense(),
         "stress instance must not hold a dense |V|² matrix"
     );
-    let origin = inst.origin.expect("stress topology has an origin");
     let mut sources: Vec<NodeId> = edge_nodes.to_vec();
-    sources.push(origin);
+    sources.push(inst.origin.expect("stress topology has an origin"));
     oracle.prime_rows_with_context(&sources, ctx);
     assert_eq!(oracle.rows_computed(), sources.len() as u64);
+    (oracle, sources.len() as u64)
+}
+
+/// The cost of serving every request from the origin alone.
+fn origin_only_cost(inst: &Instance) -> f64 {
+    let origin = inst.origin.unwrap();
+    let ap = inst.all_pairs();
+    inst.requests
+        .iter()
+        .map(|r| r.rate * ap.dist(r.node, origin))
+        .sum()
+}
+
+/// Top-ζ local placement + nearest-replica cost through the instance's
+/// own oracle; returns (cost, placement size).
+fn solve(inst: &Instance, edge_nodes: &[NodeId], ctx: &SolverContext) -> (f64, usize) {
+    let (oracle, _) = prime(inst, edge_nodes, ctx);
+    let origin = inst.origin.expect("stress topology has an origin");
 
     // Each edge node caches the top-ζ items of its own demand.
     let mut placement = Placement::empty(inst);
@@ -125,14 +148,52 @@ fn thousand_node_catalog_solves_without_dense_matrix() {
     assert!(placed > 0);
 
     // Caching must beat the no-cache (origin-only) cost.
-    let origin = inst.origin.unwrap();
-    let ap = inst.all_pairs();
-    let origin_only: f64 = inst
-        .requests
-        .iter()
-        .map(|r| r.rate * ap.dist(r.node, origin))
-        .sum();
-    assert!(cost < origin_only);
+    assert!(cost < origin_only_cost(&inst));
+}
+
+/// The §5 lazy greedy (Theorem 5.2) over the 10⁵-item catalog, then the
+/// RNR cost of its placement. The greedy must read only the primed rows:
+/// no `w_max` sweep (every requester reaches the origin) and no row miss.
+fn solve_greedy(inst: &Instance, edge_nodes: &[NodeId], ctx: &SolverContext) -> (f64, usize) {
+    let (oracle, primed) = prime(inst, edge_nodes, ctx);
+    let placement = greedy_placement_rnr(inst);
+    assert_eq!(
+        oracle.rows_computed(),
+        primed,
+        "the greedy ran Dijkstra rows beyond the primed sources"
+    );
+    assert!(placement.is_feasible(inst));
+    let cost = rnr_cost(inst, &placement).expect("the origin reaches every requester");
+    (cost, placement.len())
+}
+
+#[test]
+fn section5_greedy_on_stress_catalog_beats_origin_only() {
+    let (inst, edge_nodes) = stress_instance();
+    let ctx = SolverContext::new().with_workers(1);
+    let (cost, placed) = solve_greedy(&inst, &edge_nodes, &ctx);
+    assert!(cost.is_finite() && cost > 0.0);
+    assert_eq!(placed, edge_nodes.len() * ZETA, "every cache fills");
+    assert!(cost < origin_only_cost(&inst));
+}
+
+#[test]
+fn stress_greedy_cost_is_bit_identical_across_widths() {
+    let (inst, edge_nodes) = stress_instance();
+    let mut seen: Option<(u64, usize)> = None;
+    for workers in [1usize, 2, 8] {
+        let inst = inst.clone();
+        let ctx = SolverContext::new().with_workers(workers);
+        let (cost, placed) = solve_greedy(&inst, &edge_nodes, &ctx);
+        match seen {
+            None => seen = Some((cost.to_bits(), placed)),
+            Some(expect) => assert_eq!(
+                (cost.to_bits(), placed),
+                expect,
+                "greedy cost diverged at {workers} workers"
+            ),
+        }
+    }
 }
 
 #[test]
