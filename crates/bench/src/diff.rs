@@ -32,10 +32,10 @@
 
 use std::collections::BTreeMap;
 
+use jcr_ctx::json::Json;
 use jcr_ctx::obs::wire::{WireHistogram, WireSnapshot};
 use jcr_ctx::obs::Unit;
 
-use crate::json::Json;
 use crate::{fmt, print_table};
 
 /// Options for [`run`] (the `experiments diff` subcommand).

@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 
+use jcr_ctx::json::Json;
 use jcr_ctx::obs::wire::WireSnapshot;
 use jcr_ctx::obs::ObsSnapshot;
 use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
@@ -33,7 +34,6 @@ use jcr_lp::{Model, Sense};
 use jcr_core::prelude::*;
 
 use crate::exp::{default_factory, evaluate_in, Algo, ExpConfig};
-use crate::json::Json;
 use crate::Scenario;
 
 /// Options of the `bench` subcommand.

@@ -2,9 +2,12 @@
 //! the real binary: `bench` writes an `OBS.json` artifact next to the
 //! report, and diffing that artifact against itself reports zero deltas
 //! and exits 0 — the contract the CI bench gate's artifact pipeline
-//! rests on.
+//! rests on. Hostile snapshots (a cyclic span list, 10⁵-deep nesting)
+//! exit 1 with a named error instead of aborting the process.
 
 use std::process::Command;
+
+use jcr_ctx::json::Json;
 
 fn experiments() -> Command {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -80,4 +83,37 @@ fn bench_writes_obs_artifact_and_self_diff_exits_zero() {
         .output()
         .expect("spawn experiments diff with one path");
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+}
+
+#[test]
+fn hostile_snapshots_fail_with_a_message_instead_of_aborting() {
+    let dir = std::env::temp_dir().join("jcr_diff_cli_hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../OBS_BASELINE.json");
+    let text = std::fs::read_to_string(baseline).unwrap();
+
+    // Node 1 lists itself as a child: a walk over it would never end.
+    let cyclic = dir.join("OBS_CYCLIC.json");
+    let mut doc = Json::parse(&text).unwrap();
+    if let Json::Obj(top) = &mut doc {
+        if let Some(Json::Arr(nodes)) = top.get_mut("nodes") {
+            if let Json::Obj(node) = &mut nodes[1] {
+                node.insert("children".into(), Json::Str("1".into()));
+            }
+        }
+    }
+    std::fs::write(&cyclic, doc.render()).unwrap();
+    // Nesting deep enough to overflow a recursive parser's stack.
+    let deep = dir.join("OBS_DEEP.json");
+    std::fs::write(&deep, "[".repeat(100_000) + &"]".repeat(100_000)).unwrap();
+
+    for (bad, want) in [(&cyclic, "child index 1"), (&deep, "nesting deeper")] {
+        let out = experiments()
+            .args(["diff", baseline, bad.to_str().unwrap()])
+            .output()
+            .expect("spawn experiments diff");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
+        assert!(stderr.contains(want), "{bad:?}: {stderr}");
+    }
 }

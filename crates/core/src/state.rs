@@ -34,11 +34,13 @@
 //! which degrades each component independently instead of failing the
 //! whole snapshot.
 //!
-//! For debugging there is also a lossless JSON dump
+//! For debugging there is also a JSON dump
 //! ([`SolverState::to_debug_json`]) — human-readable, never parsed back.
 
 use std::fmt;
 use std::path::Path as FsPath;
+
+use jcr_ctx::json::Json;
 
 /// Leading magic of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"JCRSNAP1";
@@ -344,58 +346,53 @@ impl SolverState {
         SolverState::from_bytes(&bytes)
     }
 
-    /// A lossless, human-readable JSON rendering for debugging and chaos
-    /// artifacts. Never parsed back — the binary format is the contract.
+    /// A human-readable JSON rendering for debugging and chaos artifacts,
+    /// built through the workspace codec ([`jcr_ctx::json`]) so it is
+    /// always valid JSON. Finite routing amounts render in their shortest
+    /// round-trip form; a non-finite one — which
+    /// [`SolverState::from_bytes`] admits and only the restore gate
+    /// rejects — renders as a string naming it (`"NaN"`, `"inf"`,
+    /// `"-inf"`). Never parsed back — the binary format is the contract.
     pub fn to_debug_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"hour\": {},\n", self.hour));
-        s.push_str(&format!(
-            "  \"dims\": {{\"nodes\": {}, \"items\": {}, \"edges\": {}, \"requests\": {}}},\n",
-            self.n_nodes, self.n_items, self.n_edges, self.n_requests
-        ));
-        match &self.placement {
-            Some(words) => {
-                let hex: Vec<String> = words.iter().map(|w| format!("\"{w:#018x}\"")).collect();
-                s.push_str(&format!("  \"placement\": [{}],\n", hex.join(", ")));
-            }
-            None => s.push_str("  \"placement\": null,\n"),
-        }
-        match &self.routing {
-            Some(routing) => {
-                s.push_str("  \"routing\": [\n");
-                for (i, flows) in routing.iter().enumerate() {
-                    let rendered: Vec<String> = flows
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "{{\"amount\": {}, \"edges\": {:?}}}",
-                                f64::from_bits(f.amount_bits),
-                                f.edges
-                            )
-                        })
-                        .collect();
-                    let sep = if i + 1 < routing.len() { "," } else { "" };
-                    s.push_str(&format!("    [{}]{}\n", rendered.join(", "), sep));
-                }
-                s.push_str("  ],\n");
-            }
-            None => s.push_str("  \"routing\": null,\n"),
-        }
-        s.push_str(&format!(
-            "  \"basis_bytes\": {},\n",
-            self.basis.as_ref().map_or(0, Vec::len)
-        ));
-        s.push_str("  \"columns\": [\n");
-        for (i, col) in self.columns.iter().enumerate() {
-            let sep = if i + 1 < self.columns.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"commodity\": {}, \"nodes\": {:?}}}{}\n",
-                col.commodity, col.nodes, sep
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let num = |x: u32| Json::Num(x.into());
+        let ids = |xs: &[u32]| Json::Arr(xs.iter().map(|&x| num(x)).collect());
+        let flow = |f: &FlowRecord| {
+            let amount = match f64::from_bits(f.amount_bits) {
+                v if v.is_finite() => Json::Num(v),
+                v => Json::Str(v.to_string()),
+            };
+            Json::obj([("amount", amount), ("edges", ids(&f.edges))])
+        };
+        let column = |c: &ColumnRecord| {
+            Json::obj([("commodity", num(c.commodity)), ("nodes", ids(&c.nodes))])
+        };
+        let placement: Option<Vec<Json>> = self.placement.as_ref().map(|words| {
+            let hex = |w: &u64| Json::Str(format!("{w:#018x}"));
+            words.iter().map(hex).collect()
+        });
+        let routing: Option<Vec<Json>> = self.routing.as_ref().map(|routing| {
+            let flows = |flows: &Vec<FlowRecord>| Json::Arr(flows.iter().map(flow).collect());
+            routing.iter().map(flows).collect()
+        });
+        let dims = Json::obj([
+            ("nodes", num(self.n_nodes)),
+            ("items", num(self.n_items)),
+            ("edges", num(self.n_edges)),
+            ("requests", num(self.n_requests)),
+        ]);
+        let basis_bytes = self.basis.as_ref().map_or(0, Vec::len);
+        Json::obj([
+            ("hour", Json::Num(self.hour as f64)),
+            ("dims", dims),
+            ("placement", placement.map_or(Json::Null, Json::Arr)),
+            ("routing", routing.map_or(Json::Null, Json::Arr)),
+            ("basis_bytes", Json::Num(basis_bytes as f64)),
+            (
+                "columns",
+                Json::Arr(self.columns.iter().map(column).collect()),
+            ),
+        ])
+        .render()
     }
 }
 
@@ -665,5 +662,18 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+    }
+
+    #[test]
+    fn debug_json_of_non_finite_amounts_stays_valid() {
+        let mut state = sample();
+        let routing = state.routing.as_mut().unwrap();
+        routing[0][0].amount_bits = f64::NAN.to_bits();
+        routing[1][0].amount_bits = f64::NEG_INFINITY.to_bits();
+        let json = Json::parse(&state.to_debug_json()).expect("dump is valid JSON");
+        let routing = json.get("routing").and_then(Json::as_arr).unwrap();
+        let amount = |r: usize| routing[r].as_arr().unwrap()[0].get("amount").cloned();
+        assert_eq!(amount(0), Some(Json::Str("NaN".into())));
+        assert_eq!(amount(1), Some(Json::Str("-inf".into())));
     }
 }

@@ -30,6 +30,7 @@ use std::io::Write;
 use std::rc::Rc;
 use std::time::Instant;
 
+use crate::json::render_string;
 use crate::{Counter, Phase, Probe};
 
 impl<P: Probe + ?Sized> Probe for Rc<P> {
@@ -98,48 +99,34 @@ impl<W: Write> JsonLinesProbe<W> {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a quoted JSON string, escaped by the workspace codec.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    render_string(&mut out, s);
     out
 }
 
 impl<W: Write> Probe for JsonLinesProbe<W> {
     fn count(&self, counter: Counter, by: u64) {
         self.write_line(&format!(
-            "{{\"ts_us\":{},\"event\":\"count\",\"counter\":\"{}\",\"by\":{by}}}",
+            "{{\"ts_us\":{},\"event\":\"count\",\"counter\":{},\"by\":{by}}}",
             self.ts_us(),
-            escape(counter.name())
+            quoted(counter.name())
         ));
     }
 
     fn phase_elapsed(&self, phase: Phase, nanos: u64) {
         self.write_line(&format!(
-            "{{\"ts_us\":{},\"event\":\"phase\",\"phase\":\"{}\",\"nanos\":{nanos}}}",
+            "{{\"ts_us\":{},\"event\":\"phase\",\"phase\":{},\"nanos\":{nanos}}}",
             self.ts_us(),
-            escape(phase.name())
+            quoted(phase.name())
         ));
     }
 
     fn event(&self, name: &str, fields: &[(&str, &str)]) {
-        let mut line = format!(
-            "{{\"ts_us\":{},\"event\":\"{}\"",
-            self.ts_us(),
-            escape(name)
-        );
+        let mut line = format!("{{\"ts_us\":{},\"event\":{}", self.ts_us(), quoted(name));
         for (key, value) in fields {
-            line.push_str(&format!(",\"{}\":\"{}\"", escape(key), escape(value)));
+            line.push_str(&format!(",{}:{}", quoted(key), quoted(value)));
         }
         line.push('}');
         self.write_line(&line);

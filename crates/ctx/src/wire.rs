@@ -9,11 +9,11 @@
 //! `jcr_bench`); the aggregate tree is what differential profiling
 //! compares.
 //!
-//! The rendering follows the bench suite's hand-rolled canonical-JSON
-//! conventions (`jcr_bench::json`): `BTreeMap`-sorted object keys,
-//! two-space indentation, a trailing newline, no external crates. On
-//! top of those, three rules make the format *exact* rather than
-//! approximate:
+//! The document is rendered and parsed by the workspace's one JSON
+//! codec, [`crate::json`]: `BTreeMap`-sorted object keys, two-space
+//! indentation, a trailing newline, bounded nesting, no external
+//! crates. On top of those, three rules make the format *exact* rather
+//! than approximate:
 //!
 //! * every `u64`/`u128` quantity (counts, nanosecond totals, bucket
 //!   masses, histogram sums) is a **decimal string**, never a JSON
@@ -41,6 +41,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use super::{Histogram, ObsSnapshot, Unit, NBUCKETS};
+use crate::json::{Json, MAX_DEPTH};
 
 /// Wire format version; bump on any change to the rendered schema.
 pub const SCHEMA: u64 = 1;
@@ -246,128 +247,71 @@ impl WireSnapshot {
     /// Renders the canonical document. Serialize → [`WireSnapshot::parse`]
     /// → serialize is byte-identical.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        // Top-level keys in sorted order, matching a BTreeMap render:
-        // counters < dropped_events < gauges < histograms < meta <
-        // nodes < schema.
-        render_str_map(
-            &mut out,
-            "counters",
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_string())),
-        );
-        out.push_str(",\n");
-        let _ = writeln!(out, "  \"dropped_events\": \"{}\",", self.dropped_events);
-        render_str_map(
-            &mut out,
-            "gauges",
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), format!("{v:016x}"))),
-        );
-        out.push_str(",\n");
-        if self.histograms.is_empty() {
-            out.push_str("  \"histograms\": {},\n");
-        } else {
-            out.push_str("  \"histograms\": {\n");
-            let last = self.histograms.len() - 1;
-            for (i, (name, h)) in self.histograms.iter().enumerate() {
-                out.push_str("    ");
-                render_string(&mut out, name);
-                out.push_str(": {\n");
-                let mut buckets = String::new();
-                for (j, (&bi, &c)) in h.buckets.iter().enumerate() {
-                    if j > 0 {
-                        buckets.push(' ');
-                    }
-                    let _ = write!(buckets, "{bi}:{c}");
-                }
-                let _ = writeln!(out, "      \"buckets\": \"{buckets}\",");
-                let _ = writeln!(out, "      \"count\": \"{}\",", h.count);
-                let _ = writeln!(out, "      \"max\": \"{}\",", h.max);
-                let _ = writeln!(out, "      \"min\": \"{}\",", h.min);
-                let _ = writeln!(out, "      \"sum\": \"{}\",", h.sum);
-                let _ = writeln!(out, "      \"unit\": \"{}\"", h.unit.name());
-                out.push_str(if i == last { "    }\n" } else { "    },\n" });
-            }
-            out.push_str("  },\n");
-        }
-        render_str_map(
-            &mut out,
-            "meta",
-            self.meta.iter().map(|(k, v)| (k.clone(), v.clone())),
-        );
-        out.push_str(",\n");
-        out.push_str("  \"nodes\": [\n");
-        let last = self.nodes.len() - 1;
-        for (i, n) in self.nodes.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"child_ns\": \"{}\",", n.child_nanos);
-            let mut children = String::new();
-            for (j, c) in n.children.iter().enumerate() {
-                if j > 0 {
-                    children.push(' ');
-                }
-                let _ = write!(children, "{c}");
-            }
-            let _ = writeln!(out, "      \"children\": \"{children}\",");
-            let _ = writeln!(out, "      \"count\": \"{}\",", n.count);
-            out.push_str("      \"name\": ");
-            render_string(&mut out, &n.name);
-            out.push_str(",\n");
-            let _ = writeln!(out, "      \"total_ns\": \"{}\"", n.total_nanos);
-            out.push_str(if i == last { "    }\n" } else { "    },\n" });
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"schema\": {}", self.schema);
-        out.push_str("}\n");
-        out
+        let nodes = self.nodes.iter().map(|n| {
+            Json::obj([
+                ("child_ns", text(n.child_nanos)),
+                ("children", text(spaced(&n.children))),
+                ("count", text(n.count)),
+                ("name", text(&n.name)),
+                ("total_ns", text(n.total_nanos)),
+            ])
+        });
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets = spaced(h.buckets.iter().map(|(i, c)| format!("{i}:{c}")));
+            let hist = Json::obj([
+                ("buckets", text(buckets)),
+                ("count", text(h.count)),
+                ("max", text(h.max)),
+                ("min", text(h.min)),
+                ("sum", text(h.sum)),
+                ("unit", text(h.unit.name())),
+            ]);
+            (name.clone(), hist)
+        });
+        Json::obj([
+            ("counters", string_obj(&self.counters, u64::to_string)),
+            ("dropped_events", text(self.dropped_events)),
+            ("gauges", string_obj(&self.gauges, |v| format!("{v:016x}"))),
+            ("histograms", Json::Obj(histograms.collect())),
+            ("meta", string_obj(&self.meta, String::clone)),
+            ("nodes", Json::Arr(nodes.collect())),
+            ("schema", Json::Num(self.schema as f64)),
+        ])
+        .render()
     }
 
     /// Parses a canonical document, validating the schema version and
-    /// every structural invariant (child indices in range, bucket mass
-    /// equal to histogram count, known units).
+    /// every structural invariant: the span list is a tree rooted at
+    /// node 0 whose child indices exceed their parent's (so no cycle or
+    /// shared subtree can make a walk diverge) and whose depth is at most
+    /// [`MAX_DEPTH`]; bucket mass equals the histogram count; units are
+    /// known.
     pub fn parse(text: &str) -> Result<WireSnapshot, String> {
-        let val = parse_document(text)?;
-        let top = val.as_obj("document")?;
-        let schema = get(top, "schema")?.as_uint("schema")?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "unsupported snapshot schema {schema} (want {SCHEMA})"
-            ));
-        }
-        let counters = parse_str_map(get(top, "counters")?, "counters")?
-            .into_iter()
-            .map(|(k, v)| Ok((k, parse_u64(&v, "counter")?)))
-            .collect::<Result<BTreeMap<_, _>, String>>()?;
-        let gauges = parse_str_map(get(top, "gauges")?, "gauges")?
-            .into_iter()
-            .map(|(k, v)| {
-                if v.len() != 16 {
-                    return Err(format!("gauge {k}: want 16 hex digits, got {v:?}"));
-                }
-                let bits = u64::from_str_radix(&v, 16)
-                    .map_err(|e| format!("gauge {k}: bad hex {v:?}: {e}"))?;
-                Ok((k, bits))
-            })
-            .collect::<Result<BTreeMap<_, _>, String>>()?;
-        let meta = parse_str_map(get(top, "meta")?, "meta")?;
-        let dropped_events = parse_u64(
-            get(top, "dropped_events")?.as_str("dropped_events")?,
-            "dropped_events",
-        )?;
+        let top = Json::parse(text)?;
+        let schema = match field(&top, "schema")?.as_f64() {
+            Some(s) if s == SCHEMA as f64 => SCHEMA,
+            Some(s) => return Err(format!("unsupported snapshot schema {s} (want {SCHEMA})")),
+            None => return Err("schema: expected number".to_string()),
+        };
+        let counters = string_map(&top, "counters", |v| parse_u64(v, "counter"))?;
+        let gauges = string_map(&top, "gauges", |v| match u64::from_str_radix(v, 16) {
+            Ok(bits) if v.len() == 16 && v.bytes().all(|b| b.is_ascii_hexdigit()) => Ok(bits),
+            _ => Err(format!("want 16 hex digits, got {v:?}")),
+        })?;
+        let meta = string_map(&top, "meta", |v| Ok(v.to_string()))?;
+        let dropped_events = u64_field(&top, "dropped_events")?;
         let mut histograms = BTreeMap::new();
-        for (name, hv) in get(top, "histograms")?.as_obj("histograms")? {
-            let h = hv.as_obj(name)?;
-            let unit = match get(h, "unit")?.as_str("unit")? {
+        for (name, h) in obj_field(&top, "histograms")? {
+            let unit = match str_field(h, "unit")? {
                 "count" => Unit::Count,
                 "nanos" => Unit::Nanos,
                 other => return Err(format!("histogram {name}: unknown unit {other:?}")),
             };
             let mut buckets = BTreeMap::new();
-            let spec = get(h, "buckets")?.as_str("buckets")?;
-            for pair in spec.split(' ').filter(|p| !p.is_empty()) {
+            for pair in str_field(h, "buckets")?
+                .split(' ')
+                .filter(|p| !p.is_empty())
+            {
                 let (i, c) = pair
                     .split_once(':')
                     .ok_or_else(|| format!("histogram {name}: bad bucket {pair:?}"))?;
@@ -384,13 +328,12 @@ impl WireSnapshot {
             let wh = WireHistogram {
                 unit,
                 buckets,
-                count: parse_u64(get(h, "count")?.as_str("count")?, "count")?,
-                sum: get(h, "sum")?
-                    .as_str("sum")?
+                count: u64_field(h, "count")?,
+                sum: str_field(h, "sum")?
                     .parse::<u128>()
                     .map_err(|e| format!("histogram {name}: bad sum: {e}"))?,
-                min: parse_u64(get(h, "min")?.as_str("min")?, "min")?,
-                max: parse_u64(get(h, "max")?.as_str("max")?, "max")?,
+                min: u64_field(h, "min")?,
+                max: u64_field(h, "max")?,
             };
             // from_parts re-checks mass == count and min ≤ max.
             wh.to_histogram()
@@ -398,40 +341,47 @@ impl WireSnapshot {
             histograms.insert(name.clone(), wh);
         }
         let mut nodes = Vec::new();
-        for (i, nv) in get(top, "nodes")?.as_arr("nodes")?.iter().enumerate() {
-            let n = nv.as_obj("node")?;
-            let mut children = Vec::new();
-            for c in get(n, "children")?
-                .as_str("children")?
+        for (i, n) in field(&top, "nodes")?
+            .as_arr()
+            .ok_or("nodes: expected array")?
+            .iter()
+            .enumerate()
+        {
+            let children = str_field(n, "children")?
                 .split(' ')
                 .filter(|c| !c.is_empty())
-            {
-                children.push(
-                    c.parse::<usize>()
-                        .map_err(|e| format!("node {i}: bad child index {c:?}: {e}"))?,
-                );
-            }
+                .map(|c| {
+                    c.parse()
+                        .map_err(|e| format!("node {i}: bad child index {c:?}: {e}"))
+                })
+                .collect::<Result<_, String>>()?;
             nodes.push(WireNode {
-                name: get(n, "name")?.as_str("name")?.to_string(),
+                name: str_field(n, "name")?.to_string(),
                 children,
-                count: parse_u64(get(n, "count")?.as_str("count")?, "count")?,
-                total_nanos: parse_u64(get(n, "total_ns")?.as_str("total_ns")?, "total_ns")?,
-                child_nanos: parse_u64(get(n, "child_ns")?.as_str("child_ns")?, "child_ns")?,
+                count: u64_field(n, "count")?,
+                total_nanos: u64_field(n, "total_ns")?,
+                child_nanos: u64_field(n, "child_ns")?,
             });
         }
-        if nodes.is_empty() {
-            return Err("snapshot has no nodes (missing root)".to_string());
-        }
-        if !nodes[0].name.is_empty() {
+        if nodes.first().is_none_or(|root| !root.name.is_empty()) {
             return Err("node 0 must be the unnamed root".to_string());
         }
+        // Children follow their parent, so one pass in index order sees
+        // every parent's depth before its children's.
+        let mut depth = vec![None; nodes.len()];
+        depth[0] = Some(0);
         for (i, n) in nodes.iter().enumerate() {
+            let d = depth[i].ok_or_else(|| format!("node {i} is not a child of any node"))?;
             for &c in &n.children {
-                if c >= nodes.len() {
-                    return Err(format!("node {i}: child index {c} out of range"));
+                if c <= i || c >= nodes.len() {
+                    let range = format!("{}..{}", i + 1, nodes.len());
+                    return Err(format!("node {i}: child index {c} out of range {range}"));
                 }
-                if c == 0 {
-                    return Err(format!("node {i}: root cannot be a child"));
+                if depth[c].replace(d + 1).is_some() {
+                    return Err(format!("node {c} is listed as a child twice"));
+                }
+                if d + 1 > MAX_DEPTH {
+                    return Err(format!("span tree deeper than {MAX_DEPTH} at node {c}"));
                 }
             }
         }
@@ -447,243 +397,59 @@ impl WireSnapshot {
     }
 }
 
-fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
-    s.parse::<u64>()
-        .map_err(|e| format!("bad {what} {s:?}: {e}"))
+fn text(v: impl ToString) -> Json {
+    Json::Str(v.to_string())
 }
 
-/// Renders a flat `string → string` object at one level of indent.
-fn render_str_map(out: &mut String, key: &str, entries: impl Iterator<Item = (String, String)>) {
-    let entries: Vec<(String, String)> = entries.collect();
-    let _ = write!(out, "  \"{key}\": ");
-    if entries.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push_str("{\n");
-    let last = entries.len() - 1;
-    for (i, (k, v)) in entries.iter().enumerate() {
-        out.push_str("    ");
-        render_string(out, k);
-        out.push_str(": ");
-        render_string(out, v);
-        out.push_str(if i == last { "\n" } else { ",\n" });
-    }
-    out.push_str("  }");
+/// Space-separated list (`"1 2 3"`, `"4:2 11:1"`).
+fn spaced<T: ToString>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|t| t.to_string()).collect();
+    items.join(" ")
 }
 
-fn render_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A flat `string → string` object, each value rendered by `render`.
+fn string_obj<V>(map: &BTreeMap<String, V>, render: impl Fn(&V) -> String) -> Json {
+    Json::Obj(
+        map.iter()
+            .map(|(k, v)| (k.clone(), text(render(v))))
+            .collect(),
+    )
 }
 
-/// Minimal JSON value for the wire grammar: objects, arrays, strings,
-/// and unsigned integers (the only number the format emits is the
-/// schema version).
-#[derive(Debug)]
-enum Val {
-    Str(String),
-    UInt(u64),
-    Arr(Vec<Val>),
-    Obj(BTreeMap<String, Val>),
-}
-
-impl Val {
-    fn as_obj(&self, what: &str) -> Result<&BTreeMap<String, Val>, String> {
-        match self {
-            Val::Obj(m) => Ok(m),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&Vec<Val>, String> {
-        match self {
-            Val::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Val::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-
-    fn as_uint(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Val::UInt(n) => Ok(*n),
-            _ => Err(format!("{what}: expected unsigned integer")),
-        }
-    }
-}
-
-fn get<'a>(obj: &'a BTreeMap<String, Val>, key: &str) -> Result<&'a Val, String> {
+fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
     obj.get(key).ok_or_else(|| format!("missing key {key:?}"))
 }
 
-fn parse_str_map(val: &Val, what: &str) -> Result<BTreeMap<String, String>, String> {
-    let mut out = BTreeMap::new();
-    for (k, v) in val.as_obj(what)? {
-        out.insert(k.clone(), v.as_str(what)?.to_string());
-    }
-    Ok(out)
+fn obj_field<'a>(obj: &'a Json, key: &str) -> Result<&'a BTreeMap<String, Json>, String> {
+    let map = field(obj, key)?.as_obj();
+    map.ok_or_else(|| format!("{key}: expected object"))
 }
 
-fn parse_document(text: &str) -> Result<Val, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let val = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(val)
+fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
+    let s = field(obj, key)?.as_str();
+    s.ok_or_else(|| format!("{key}: expected string"))
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+fn u64_field(obj: &Json, key: &str) -> Result<u64, String> {
+    parse_u64(str_field(obj, key)?, key)
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Val, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Val::Obj(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(bytes, pos)?;
-                map.insert(key, val);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Val::Obj(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Val::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Val::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Val::Str(parse_string(bytes, pos)?)),
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ascii");
-            s.parse::<u64>()
-                .map(Val::UInt)
-                .map_err(|e| format!("bad number {s:?}: {e}"))
-        }
-        _ => Err(format!("unexpected byte at {pos}")),
-    }
+fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
+    s.parse().map_err(|e| format!("bad {what} {s:?}: {e}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = bytes
-                    .get(*pos)
-                    .ok_or_else(|| "unterminated escape".to_string())?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        if *pos + 4 > bytes.len() {
-                            return Err("truncated \\u escape".to_string());
-                        }
-                        let hex = std::str::from_utf8(&bytes[*pos..*pos + 4])
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad codepoint \\u{hex}"))?,
-                        );
-                        *pos += 4;
-                    }
-                    other => return Err(format!("unknown escape \\{}", *other as char)),
-                }
-            }
-            Some(&b) if b < 0x20 => {
-                return Err(format!("raw control byte in string at {pos}"));
-            }
-            Some(_) => {
-                // Advance over one UTF-8 scalar.
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
+/// Decodes the flat `string → string` object at `key`, value by value.
+fn string_map<V>(
+    obj: &Json,
+    key: &str,
+    decode: impl Fn(&str) -> Result<V, String>,
+) -> Result<BTreeMap<String, V>, String> {
+    let decode_entry = |(k, v): (&String, &Json)| {
+        let s = v.as_str().ok_or("expected string".to_string());
+        let value = s.and_then(&decode).map_err(|e| format!("{key}.{k}: {e}"))?;
+        Ok((k.clone(), value))
+    };
+    obj_field(obj, key)?.iter().map(decode_entry).collect()
 }
 
 #[cfg(test)]
@@ -752,6 +518,62 @@ mod tests {
         // Corrupt a histogram count so bucket mass no longer matches.
         let corrupt = text.replace("\"count\": \"2\"", "\"count\": \"3\"");
         assert!(WireSnapshot::parse(&corrupt).is_err());
+    }
+
+    #[test]
+    fn parser_rejects_span_lists_that_are_not_trees() {
+        // Sample tree: root 0 → alpha 1 → beta 2, and root 0 → gamma 3.
+        let wire = WireSnapshot::from_snapshot(&sample_snapshot());
+        let names: Vec<&str> = wire.nodes.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(names, ["", "alpha", "beta", "gamma"]);
+        let broken = |edit: fn(&mut Vec<WireNode>)| {
+            let mut w = wire.clone();
+            edit(&mut w.nodes);
+            WireSnapshot::parse(&w.render()).unwrap_err()
+        };
+        let self_loop = broken(|n| n[1].children.push(1));
+        assert!(
+            self_loop.contains("child index 1 out of range"),
+            "{self_loop}"
+        );
+        let back_edge = broken(|n| n[2].children.push(1));
+        assert!(
+            back_edge.contains("child index 1 out of range"),
+            "{back_edge}"
+        );
+        let two_parents = broken(|n| n[0].children.push(2));
+        assert!(
+            two_parents.contains("node 2 is listed as a child twice"),
+            "{two_parents}"
+        );
+        let orphan = broken(|n| n[1].children.clear());
+        assert!(orphan.contains("node 2 is not a child"), "{orphan}");
+        let root_child = broken(|n| n[3].children.push(0));
+        assert!(root_child.contains("child index 0"), "{root_child}");
+    }
+
+    #[test]
+    fn parser_bounds_span_tree_depth() {
+        let chain = |len: usize| {
+            let mut w = WireSnapshot::from_snapshot(&SolverContext::default().obs_snapshot());
+            w.nodes = (0..len)
+                .map(|i| WireNode {
+                    name: if i == 0 {
+                        String::new()
+                    } else {
+                        format!("s{i}")
+                    },
+                    children: if i + 1 < len { vec![i + 1] } else { vec![] },
+                    count: 1,
+                    total_nanos: 0,
+                    child_nanos: 0,
+                })
+                .collect();
+            WireSnapshot::parse(&w.render())
+        };
+        assert!(chain(MAX_DEPTH + 1).is_ok());
+        let err = chain(MAX_DEPTH + 2).unwrap_err();
+        assert!(err.contains("span tree deeper than"), "{err}");
     }
 
     #[test]
