@@ -166,6 +166,7 @@ pub fn evaluate_in(
     let topo = scenario.topology();
     let n_edges = topo.edge_nodes.len();
     let base = {
+        let _s = sweep.span("trace.gpr");
         let mut sc = scenario.clone();
         sc.hours = cfg.hours.max(1);
         sc.demand_base()

@@ -155,11 +155,16 @@ fn factory_sweep_shares_one_registry_and_stays_deterministic() {
     // inner solves' spans and metric histograms.
     assert!(s1.shape().contains("lp.solve"), "shape:\n{}", s1.shape());
     assert!(s1.shape().contains("graph.ksp"), "shape:\n{}", s1.shape());
+    // The demand base (trace + rolling GPR forecasts) is built once per
+    // sweep, outside the fan-out, under its own span.
+    assert!(s1.shape().contains("trace.gpr"), "shape:\n{}", s1.shape());
     assert!(s1.histograms.contains_key("lp.pivot_ns"));
-    let (m2, s2) = run_sweep(4);
-    assert_eq!(s1.shape(), s2.shape(), "registry shape across widths");
-    for (a, b) in m1.iter().zip(&m2) {
-        assert_eq!(a.cost_true.to_bits(), b.cost_true.to_bits());
-        assert_eq!(a.cost_pred.to_bits(), b.cost_pred.to_bits());
+    for workers in [2, 4] {
+        let (m2, s2) = run_sweep(workers);
+        assert_eq!(s1.shape(), s2.shape(), "registry shape at width {workers}");
+        for (a, b) in m1.iter().zip(&m2) {
+            assert_eq!(a.cost_true.to_bits(), b.cost_true.to_bits());
+            assert_eq!(a.cost_pred.to_bits(), b.cost_pred.to_bits());
+        }
     }
 }

@@ -79,6 +79,34 @@ impl std::fmt::Display for GprError {
 
 impl std::error::Error for GprError {}
 
+/// The hyperparameter grid searched by [`Gpr::fit_grid`] and
+/// [`rolling_forecast`], in selection order (ties keep the earlier kernel).
+const GRID: [Kernel; 12] = [
+    grid_kernel(10.0, 0.6, 0.01),
+    grid_kernel(10.0, 0.6, 0.1),
+    grid_kernel(10.0, 1.2, 0.01),
+    grid_kernel(10.0, 1.2, 0.1),
+    grid_kernel(40.0, 0.6, 0.01),
+    grid_kernel(40.0, 0.6, 0.1),
+    grid_kernel(40.0, 1.2, 0.01),
+    grid_kernel(40.0, 1.2, 0.1),
+    grid_kernel(150.0, 0.6, 0.01),
+    grid_kernel(150.0, 0.6, 0.1),
+    grid_kernel(150.0, 1.2, 0.01),
+    grid_kernel(150.0, 1.2, 0.1),
+];
+
+const fn grid_kernel(rbf_len: f64, per_len: f64, noise_var: f64) -> Kernel {
+    Kernel {
+        rbf_var: 0.5,
+        rbf_len,
+        per_var: 0.5,
+        per_len,
+        period: 24.0,
+        noise_var,
+    }
+}
+
 impl Gpr {
     /// Fits a GP with fixed hyperparameters to observations
     /// `(times[i], values[i])`.
@@ -91,36 +119,16 @@ impl Gpr {
         if n < 2 || values.len() != n {
             return Err(GprError::TooFewObservations);
         }
-        let y_mean = values.iter().sum::<f64>() / n as f64;
-        let var = values.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / n as f64;
-        let y_std = var.sqrt().max(1e-12);
-        let y: Vec<f64> = values.iter().map(|v| (v - y_mean) / y_std).collect();
-
-        // K + σ_n² I, lower-triangular Cholesky.
-        let mut k = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut v = kernel.eval(times[i], times[j]);
-                if i == j {
-                    v += kernel.noise_var + 1e-10;
-                }
-                k[i * n + j] = v;
-                k[j * n + i] = v;
-            }
+        let (y_mean, y_std) = standardize(values);
+        let factor = Factor::new(&kernel, n, |i, j| kernel.eval(times[i], times[j]));
+        if factor.rows() < n {
+            return Err(GprError::NotPositiveDefinite);
         }
-        let l = cholesky(&mut k, n).ok_or(GprError::NotPositiveDefinite)?;
         // alpha = L⁻ᵀ L⁻¹ y.
-        let mut alpha = y.clone();
-        forward_solve(&l, n, &mut alpha);
-        let mut log_det = 0.0;
-        for i in 0..n {
-            log_det += l[i * n + i].ln();
-        }
-        // log ML before back substitution: −½‖L⁻¹y‖² − Σ log L_ii − n/2·log 2π.
-        let log_marginal = -0.5 * alpha.iter().map(|a| a * a).sum::<f64>()
-            - log_det
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-        backward_solve(&l, n, &mut alpha);
+        let mut alpha: Vec<f64> = values.iter().map(|v| (v - y_mean) / y_std).collect();
+        factor.forward_solve(&mut alpha);
+        let log_marginal = factor.log_marginal(&alpha);
+        factor.backward_solve(&mut alpha);
 
         Ok(Gpr {
             kernel,
@@ -141,25 +149,13 @@ impl Gpr {
     /// [`GprError`] if every candidate fails.
     pub fn fit_grid(times: &[f64], values: &[f64]) -> Result<Self, GprError> {
         let mut best: Option<Gpr> = None;
-        for &rbf_len in &[10.0, 40.0, 150.0] {
-            for &per_len in &[0.6, 1.2] {
-                for &noise_var in &[0.01, 0.1] {
-                    let kernel = Kernel {
-                        rbf_var: 0.5,
-                        rbf_len,
-                        per_var: 0.5,
-                        per_len,
-                        period: 24.0,
-                        noise_var,
-                    };
-                    if let Ok(model) = Gpr::fit(kernel, times, values) {
-                        if best
-                            .as_ref()
-                            .is_none_or(|b| model.log_marginal > b.log_marginal)
-                        {
-                            best = Some(model);
-                        }
-                    }
+        for kernel in GRID {
+            if let Ok(model) = Gpr::fit(kernel, times, values) {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| model.log_marginal > b.log_marginal)
+                {
+                    best = Some(model);
                 }
             }
         }
@@ -188,85 +184,224 @@ impl Gpr {
     }
 }
 
-/// In-place lower Cholesky; returns the factor on success.
-fn cholesky(a: &mut [f64], n: usize) -> Option<Vec<f64>> {
-    let mut l = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[i * n + j];
-            for k in 0..j {
-                sum -= l[i * n + k] * l[j * n + k];
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return None;
-                }
-                l[i * n + j] = sum.sqrt();
-            } else {
-                l[i * n + j] = sum / l[j * n + j];
-            }
-        }
-    }
-    Some(l)
+/// Mean and (floored) standard deviation used to standardize targets.
+fn standardize(values: &[f64]) -> (f64, f64) {
+    let n = values.len() as f64;
+    let y_mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / n;
+    (y_mean, var.sqrt().max(1e-12))
 }
 
-/// Solves `L x = b` in place.
-fn forward_solve(l: &[f64], n: usize, b: &mut [f64]) {
-    for i in 0..n {
-        let mut sum = b[i];
-        for k in 0..i {
-            sum -= l[i * n + k] * b[k];
-        }
-        b[i] = sum / l[i * n + i];
-    }
-}
-
-/// Solves `Lᵀ x = b` in place.
-fn backward_solve(l: &[f64], n: usize, b: &mut [f64]) {
-    for i in (0..n).rev() {
-        let mut sum = b[i];
-        for k in i + 1..n {
-            sum -= l[k * n + i] * b[k];
-        }
-        b[i] = sum / l[i * n + i];
-    }
-}
-
-/// Rolling next-hour prediction over an evaluation window, refitting every
-/// `refit_every` hours (the paper refits every 5 hours, footnote 6).
+/// Lower Cholesky factor `L` of `K + (σ_n² + 10⁻¹⁰) I`, where
+/// `K[i][j] = cov(i, j)` (`j ≤ i`) comes from the kernel, computed row by
+/// row until the first non-positive pivot.
 ///
-/// `series` holds training history followed by `eval_hours` evaluation
-/// points; returns one prediction per evaluation hour. The model only ever
-/// sees observations strictly before the hour it predicts. `window` caps
-/// the history length used for fitting (most recent points).
+/// Row `i` of `L` reads only `K`'s row `i` and rows `< i` of `L`, so the
+/// factor of a leading principal block of `K` is bit-for-bit the leading
+/// block of this one, and that block is positive definite exactly when
+/// it lies within [`Factor::rows`]. One factor over the longest window
+/// thus serves every shorter window of the same kernel.
+struct Factor {
+    /// Row-major with stride `n`; the lower triangle of the first
+    /// `rows()` rows holds `L`.
+    l: Vec<f64>,
+    n: usize,
+    /// `log_det[m] = Σ_{i<m} ln L_ii` for every factored prefix `m`.
+    log_det: Vec<f64>,
+}
+
+impl Factor {
+    fn new(kernel: &Kernel, n: usize, cov: impl Fn(usize, usize) -> f64) -> Self {
+        let mut l = vec![0.0; n * n];
+        let mut log_det = Vec::with_capacity(n + 1);
+        log_det.push(0.0);
+        'rows: for i in 0..n {
+            for j in 0..=i {
+                let mut sum = cov(i, j);
+                if i == j {
+                    sum += kernel.noise_var + 1e-10;
+                }
+                for k in 0..j {
+                    sum -= l[i * n + k] * l[j * n + k];
+                }
+                if i == j {
+                    if sum <= 0.0 {
+                        break 'rows;
+                    }
+                    let d = sum.sqrt();
+                    l[i * n + i] = d;
+                    log_det.push(log_det[i] + d.ln());
+                } else {
+                    l[i * n + j] = sum / l[j * n + j];
+                }
+            }
+        }
+        Factor { l, n, log_det }
+    }
+
+    /// Number of leading rows factored: the largest `m` such that the
+    /// leading `m × m` block is positive definite.
+    fn rows(&self) -> usize {
+        self.log_det.len() - 1
+    }
+
+    /// Solves `L x = b` in place over the leading `b.len()` rows.
+    fn forward_solve(&self, b: &mut [f64]) {
+        let n = self.n;
+        for i in 0..b.len() {
+            let row = &self.l[i * n..i * n + i];
+            let mut sum = b[i];
+            for (&l_ik, &b_k) in row.iter().zip(&b[..i]) {
+                sum -= l_ik * b_k;
+            }
+            b[i] = sum / self.l[i * n + i];
+        }
+    }
+
+    /// Solves `Lᵀ x = b` in place over the leading `b.len()` rows.
+    fn backward_solve(&self, b: &mut [f64]) {
+        let n = self.n;
+        for i in (0..b.len()).rev() {
+            let mut sum = b[i];
+            for (k, &b_k) in b.iter().enumerate().skip(i + 1) {
+                sum -= self.l[k * n + i] * b_k;
+            }
+            b[i] = sum / self.l[i * n + i];
+        }
+    }
+
+    /// Log marginal likelihood from `z = L⁻¹ y` (before back
+    /// substitution): −½‖z‖² − Σ log L_ii − m/2·log 2π.
+    fn log_marginal(&self, z: &[f64]) -> f64 {
+        -0.5 * z.iter().map(|a| a * a).sum::<f64>()
+            - self.log_det[z.len()]
+            - 0.5 * z.len() as f64 * (2.0 * std::f64::consts::PI).ln()
+    }
+}
+
+/// One refit of [`rolling_forecast`]: the training window of one series
+/// ending (exclusive) at hour `end`, and its best model so far.
+struct Refit<'a> {
+    series: usize,
+    end: usize,
+    values: &'a [f64],
+    y_mean: f64,
+    y_std: f64,
+    /// Best grid model so far; its `times` are filled in once the grid
+    /// is exhausted.
+    best: Option<Gpr>,
+}
+
+/// Rolling next-hour prediction over an evaluation window for several
+/// series at once, refitting every `refit_every` hours (the paper refits
+/// every 5 hours, footnote 6) with the [`Gpr::fit_grid`] search.
+///
+/// Each series holds training history followed by `eval_hours`
+/// evaluation points; the result holds one prediction per evaluation
+/// hour for each series, in input order. A model only ever sees
+/// observations strictly before the hours it predicts. `window` caps the
+/// history length used for fitting (most recent points).
+///
+/// The output is bit-identical to running `Gpr::fit_grid` on each refit
+/// window (time stamps are hour indices) and predicting with it, but
+/// each grid kernel is factored once instead of once per refit: refit
+/// windows are runs of consecutive integer hours, [`Kernel::eval`]
+/// depends only on the (exact) difference of its arguments, so the
+/// kernel matrix — and its Cholesky factor and log-determinant — depend
+/// only on the kernel and the window length, and shorter windows use a
+/// leading block of the longest window's factor. Only one factor is live
+/// at a time.
 ///
 /// # Errors
 ///
-/// Propagates [`GprError`] from fitting.
+/// [`GprError::NotPositiveDefinite`] if some refit window has fewer than
+/// two points or no grid kernel factors on it (as [`Gpr::fit_grid`]).
+///
+/// # Panics
+///
+/// If a series has no more than `eval_hours` points, or `refit_every`
+/// is zero.
 pub fn rolling_forecast(
-    series: &[f64],
+    series: &[&[f64]],
     eval_hours: usize,
     refit_every: usize,
     window: usize,
-) -> Result<Vec<f64>, GprError> {
-    assert!(eval_hours < series.len(), "series too short");
+) -> Result<Vec<Vec<f64>>, GprError> {
+    for s in series {
+        assert!(eval_hours < s.len(), "series too short");
+    }
     assert!(refit_every >= 1);
-    let train_len = series.len() - eval_hours;
-    let mut predictions = Vec::with_capacity(eval_hours);
-    let mut model: Option<Gpr> = None;
-    for h in 0..eval_hours {
-        if h % refit_every == 0 {
+    let mut refits = Vec::new();
+    for (si, s) in series.iter().enumerate() {
+        let train_len = s.len() - eval_hours;
+        for h in (0..eval_hours).step_by(refit_every) {
             let end = train_len + h;
-            let start = end.saturating_sub(window);
-            let times: Vec<f64> = (start..end).map(|t| t as f64).collect();
-            let values = &series[start..end];
-            model = Some(Gpr::fit_grid(&times, values)?);
+            let values = &s[end.saturating_sub(window)..end];
+            if values.len() < 2 {
+                // `Gpr::fit` rejects every grid kernel.
+                return Err(GprError::NotPositiveDefinite);
+            }
+            let (y_mean, y_std) = standardize(values);
+            refits.push(Refit {
+                series: si,
+                end,
+                values,
+                y_mean,
+                y_std,
+                best: None,
+            });
         }
-        let t = (train_len + h) as f64;
-        // `refit_every >= 1` (asserted above) makes the first iteration
-        // (`h == 0`) fit, so a model is always present from then on.
-        let fitted = model.as_ref().expect("first iteration fits a model");
-        predictions.push(fitted.predict(t).max(0.0));
+    }
+
+    let longest = refits.iter().map(|r| r.values.len()).max().unwrap_or(0);
+    let mut z = Vec::with_capacity(longest);
+    for kernel in GRID {
+        // Covariance by lag: `eval(d, 0)` computes the same difference `d`
+        // as `eval(t + d, t)` for integer hours.
+        let lag: Vec<f64> = (0..longest).map(|d| kernel.eval(d as f64, 0.0)).collect();
+        let factor = Factor::new(&kernel, longest, |i, j| lag[i - j]);
+        for refit in &mut refits {
+            if refit.values.len() > factor.rows() {
+                continue; // not positive definite on this window: skipped
+            }
+            z.clear();
+            z.extend(
+                refit
+                    .values
+                    .iter()
+                    .map(|v| (v - refit.y_mean) / refit.y_std),
+            );
+            factor.forward_solve(&mut z);
+            let log_marginal = factor.log_marginal(&z);
+            if refit
+                .best
+                .as_ref()
+                .is_none_or(|b| log_marginal > b.log_marginal)
+            {
+                factor.backward_solve(&mut z);
+                refit.best = Some(Gpr {
+                    kernel,
+                    times: Vec::new(),
+                    alpha: z.clone(),
+                    y_mean: refit.y_mean,
+                    y_std: refit.y_std,
+                    log_marginal,
+                });
+            }
+        }
+    }
+
+    let mut predictions: Vec<Vec<f64>> = series
+        .iter()
+        .map(|_| Vec::with_capacity(eval_hours))
+        .collect();
+    for refit in refits {
+        let mut model = refit.best.ok_or(GprError::NotPositiveDefinite)?;
+        let start = refit.end - refit.values.len();
+        model.times = (start..refit.end).map(|t| t as f64).collect();
+        let stop = (refit.end + refit_every).min(series[refit.series].len());
+        predictions[refit.series]
+            .extend((refit.end..stop).map(|t| model.predict(t as f64).max(0.0)));
     }
     Ok(predictions)
 }
@@ -341,6 +476,32 @@ mod tests {
     }
 
     #[test]
+    fn factor_prefix_matches_fit_on_every_leading_window() {
+        // A slightly negative noise variance makes the kernel matrix
+        // indefinite part-way in (after 11 rows), so the prefix rule is
+        // checked on both sides of the failing pivot.
+        let kernel = Kernel {
+            noise_var: -1e-8,
+            ..Kernel::default()
+        };
+        let times: Vec<f64> = (0..40).map(|t| t as f64).collect();
+        let values: Vec<f64> = times.iter().map(|t| (t * 0.3).sin()).collect();
+        let factor = Factor::new(&kernel, times.len(), |i, j| kernel.eval(times[i], times[j]));
+        assert!(factor.rows() > 1 && factor.rows() < times.len());
+        for m in 2..=times.len() {
+            let fit = Gpr::fit(kernel, &times[..m], &values[..m]);
+            assert_eq!(fit.is_ok(), m <= factor.rows(), "m = {m}");
+            if let Ok(model) = fit {
+                let (y_mean, y_std) = standardize(&values[..m]);
+                let mut z: Vec<f64> = values[..m].iter().map(|v| (v - y_mean) / y_std).collect();
+                factor.forward_solve(&mut z);
+                let lml = factor.log_marginal(&z);
+                assert_eq!(lml.to_bits(), model.log_marginal().to_bits(), "m = {m}");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_tiny_input() {
         assert_eq!(
             Gpr::fit(Kernel::default(), &[0.0], &[1.0]).unwrap_err(),
@@ -364,7 +525,7 @@ mod tests {
                     + 2.0 * standard_normal(&mut rng)
             })
             .collect();
-        let preds = rolling_forecast(&series, eval, 5, 96).unwrap();
+        let preds = rolling_forecast(&[&series], eval, 5, 96).unwrap().remove(0);
         let truth = &series[n - eval..];
         let rmse_gpr: f64 = (preds
             .iter()
