@@ -32,6 +32,7 @@ use jcr_bench::diff::{self, DiffOpts};
 use jcr_bench::exp::{self, ExpConfig};
 use jcr_bench::perf::{self, BenchOpts};
 use jcr_bench::profile;
+use jcr_trace::videos::EVAL_HOURS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,6 +57,12 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--hours needs a number"));
+                if cfg.hours > EVAL_HOURS {
+                    usage(&format!(
+                        "--hours {} exceeds the trace's {EVAL_HOURS} evaluation hours",
+                        cfg.hours
+                    ));
+                }
             }
             "--seed" => {
                 cfg.seed = it

@@ -36,6 +36,9 @@ pub const PIVOT_NS: &str = "lp.pivot_ns";
 pub const FTRAN_FILL: &str = "lp.ftran_fill";
 /// `Count` histogram of nonzeros in the btran result `cbᵀ·B⁻¹` per pivot.
 pub const BTRAN_FILL: &str = "lp.btran_fill";
+/// `Count` histogram of the nonbasic columns whose pivot-row entry
+/// `α_rj = ρ·A_j` was evaluated in each Devex weight update.
+pub const PIVOT_ROW_COLS: &str = "lp.pivot_row_cols";
 /// `Count` histogram of basis-residual agreement bits
 /// (`−log₂ ‖A·x‖∞ / scale`) sampled by the residual monitor.
 pub const BASIS_RESIDUAL_BITS: &str = "lp.basis_residual_bits";
@@ -210,9 +213,22 @@ pub struct Simplex {
     c: Vec<f64>,
     lo: Vec<f64>,
     up: Vec<f64>,
-    /// Structural columns (sparse); slack columns are implicit `−1` at
-    /// their row.
-    cols: Vec<Vec<(usize, f64)>>,
+    /// Structural columns in one compressed-column store, zero
+    /// coefficients dropped: column `j` is `col_rows[k]`/`col_vals[k]` for
+    /// `k` in `col_start[j]..col_start[j + 1]`, in the model's entry
+    /// order. Slack columns are implicit `−1` at their row.
+    col_start: Vec<usize>,
+    col_rows: Vec<u32>,
+    col_vals: Vec<f64>,
+    /// Row-wise index of the same nonzeros: for each row, the structural
+    /// columns with an entry there, in ascending column order. The Devex
+    /// update walks only the rows where `ρ` is nonzero (hypersparse pivot
+    /// row).
+    row_cols: Vec<Vec<u32>>,
+    /// Per column, the stamp of the last Devex update that visited it, so
+    /// a column reached through several of `ρ`'s rows is evaluated once.
+    visit_mark: Vec<u32>,
+    visit_stamp: u32,
     basis: Vec<usize>,
     status: Vec<ColStatus>,
     /// Value of every column (basic values refreshed after each pivot).
@@ -228,6 +244,10 @@ pub struct Simplex {
     /// Dense m-length buffer reused by the ftran/btran entry points.
     rhs_buf: Vec<f64>,
     pivots_since_refactor: usize,
+    /// Prices the Devex pivot row with the full column scan that the row
+    /// index replaced (the reference the equivalence tests compare to).
+    #[cfg(test)]
+    full_pivot_row: bool,
 }
 
 impl Simplex {
@@ -246,7 +266,18 @@ impl Simplex {
         let mut up = model.upper.clone();
         lo.extend_from_slice(&model.row_lower);
         up.extend_from_slice(&model.row_upper);
-        let cols = model.cols.clone();
+        assert!(m <= u32::MAX as usize, "row indices are stored as u32");
+        // Size the column store and every row list exactly, so the
+        // matrix costs sixteen bytes per nonzero and no growth slack.
+        let mut row_len = vec![0usize; m];
+        for &(r, v) in model.cols.iter().flatten() {
+            if v != 0.0 {
+                row_len[r] += 1;
+            }
+        }
+        let nnz = row_len.iter().sum();
+        let mut col_start = Vec::with_capacity(n + 1);
+        col_start.push(0);
 
         let mut s = Simplex {
             m,
@@ -255,7 +286,12 @@ impl Simplex {
             c,
             lo,
             up,
-            cols,
+            col_start,
+            col_rows: Vec::with_capacity(nnz),
+            col_vals: Vec::with_capacity(nnz),
+            row_cols: row_len.into_iter().map(Vec::with_capacity).collect(),
+            visit_mark: Vec::new(),
+            visit_stamp: 0,
             basis: Vec::new(),
             status: Vec::new(),
             xval: Vec::new(),
@@ -265,7 +301,12 @@ impl Simplex {
             devex: Vec::new(),
             rhs_buf: vec![0.0; m],
             pivots_since_refactor: 0,
+            #[cfg(test)]
+            full_pivot_row: false,
         };
+        for col in &model.cols {
+            s.push_column(col);
+        }
         s.reset_cold();
         s
     }
@@ -285,7 +326,7 @@ impl Simplex {
         self.c.insert(j_internal, obj);
         self.lo.insert(j_internal, model.lower[var]);
         self.up.insert(j_internal, model.upper[var]);
-        self.cols.push(model.cols[var].clone());
+        self.push_column(&model.cols[var]);
         let st = initial_status(model.lower[var], model.upper[var]);
         self.status.insert(j_internal, st);
         let v0 = match st {
@@ -451,14 +492,28 @@ impl Simplex {
         (j >= self.n_struct).then(|| j - self.n_struct)
     }
 
+    /// Appends the next structural column to the column store and to the
+    /// row lists of its nonzero entries (which therefore stay sorted).
+    fn push_column(&mut self, col: &[(usize, f64)]) {
+        let j =
+            u32::try_from(self.col_start.len() - 1).expect("structural column count fits in u32");
+        for &(r, v) in col {
+            if v != 0.0 {
+                self.col_rows.push(r as u32);
+                self.col_vals.push(v);
+                self.row_cols[r].push(j);
+            }
+        }
+        self.col_start.push(self.col_rows.len());
+    }
+
     fn for_col<F: FnMut(usize, f64)>(&self, j: usize, mut f: F) {
         if let Some(r) = self.slack_of(j) {
             f(r, -1.0);
         } else {
-            for &(r, v) in &self.cols[j] {
-                if v != 0.0 {
-                    f(r, v);
-                }
+            let span = self.col_start[j]..self.col_start[j + 1];
+            for (&r, &v) in self.col_rows[span.clone()].iter().zip(&self.col_vals[span]) {
+                f(r as usize, v);
             }
         }
     }
@@ -928,10 +983,10 @@ impl Simplex {
                 }
 
                 // Devex reference-framework update (Forrest–Goldfarb):
-                // the pivot row `α_r· = eᵣᵀB⁻¹N` prices every nonbasic
-                // weight against the entering column's weight. `cb` is
-                // recomputed next iteration, so it doubles as the unit
-                // vector here.
+                // the pivot row `α_r· = ρ·N`, `ρ = eᵣᵀB⁻¹`, prices the
+                // nonbasic weights against the entering column's weight.
+                // `cb` is recomputed next iteration, so it doubles as the
+                // unit vector here.
                 let arq = alpha[r];
                 let wq = self.devex[q];
                 let mut w_overflow = false;
@@ -939,20 +994,9 @@ impl Simplex {
                     cb.fill(0.0);
                     cb[r] = 1.0;
                     self.btran_into(cb, rho);
-                    for j in 0..ncols {
-                        if self.status[j] == ColStatus::Basic || j == q {
-                            continue;
-                        }
-                        let arj = self.dot_col(rho, j);
-                        if arj != 0.0 {
-                            let ratio = arj / arq;
-                            let cand = ratio * ratio * wq;
-                            if cand > self.devex[j] {
-                                self.devex[j] = cand;
-                                w_overflow |= cand > DEVEX_RESET;
-                            }
-                        }
-                    }
+                    let evaluated;
+                    (w_overflow, evaluated) = self.devex_pivot_row(rho, q, arq, wq);
+                    ctx.metric_value(PIVOT_ROW_COLS, evaluated);
                 }
 
                 let t = t_best;
@@ -1024,6 +1068,78 @@ impl Simplex {
         Err(LpError::Numerical("iteration limit exceeded".into()))
     }
 
+    /// Devex weight update over the pivot row `α_rj = ρ·A_j`: every
+    /// nonbasic column `j ≠ q` with a nonzero `α_rj` gets the weight
+    /// `max(w_j, (α_rj/α_rq)²·w_q)`. Returns whether a weight outgrew
+    /// [`DEVEX_RESET`] and how many `α_rj` were evaluated.
+    ///
+    /// `α_rj` can be nonzero only if column `j` has an entry in a row where
+    /// `ρ` is nonzero, and `ρ` is hypersparse, so only those rows' index
+    /// lists and slacks are walked, each column at most once. The weights
+    /// come out bit-identical to a scan of every nonbasic column: a visited
+    /// column is dotted in its own column order exactly as the scan dots
+    /// it, and a skipped column's `α_rj` is an exact zero that the scan
+    /// ignores too. The update of one column does not depend on another's,
+    /// so the visiting order does not matter.
+    fn devex_pivot_row(&mut self, rho: &[f64], q: usize, arq: f64, wq: f64) -> (bool, u64) {
+        #[cfg(test)]
+        if self.full_pivot_row {
+            return self.devex_pivot_row_full(rho, q, arq, wq);
+        }
+        // Stamps only grow between wraps, so columns shifted or appended
+        // by `add_column` never carry the current stamp.
+        let mut mark = std::mem::take(&mut self.visit_mark);
+        mark.resize(self.n_struct + self.m, 0);
+        if self.visit_stamp == u32::MAX {
+            mark.fill(0);
+            self.visit_stamp = 0;
+        }
+        self.visit_stamp += 1;
+        let stamp = self.visit_stamp;
+        let mut devex = std::mem::take(&mut self.devex);
+        let mut w_overflow = false;
+        let mut evaluated = 0u64;
+        for (r, &rho_r) in rho.iter().enumerate() {
+            if rho_r == 0.0 {
+                continue;
+            }
+            let slack = self.n_struct + r;
+            let touching = self.row_cols[r].iter().map(|&j| j as usize);
+            for j in touching.chain(std::iter::once(slack)) {
+                if mark[j] == stamp {
+                    continue;
+                }
+                mark[j] = stamp;
+                if self.status[j] == ColStatus::Basic || j == q {
+                    continue;
+                }
+                evaluated += 1;
+                w_overflow |= devex_raise(&mut devex[j], self.dot_col(rho, j), arq, wq);
+            }
+        }
+        self.devex = devex;
+        self.visit_mark = mark;
+        (w_overflow, evaluated)
+    }
+
+    /// The pivot-row pass the row index replaced: `α_rj` for every
+    /// nonbasic column. The equivalence tests solve through both.
+    #[cfg(test)]
+    fn devex_pivot_row_full(&mut self, rho: &[f64], q: usize, arq: f64, wq: f64) -> (bool, u64) {
+        let mut devex = std::mem::take(&mut self.devex);
+        let mut w_overflow = false;
+        let mut evaluated = 0u64;
+        for j in 0..self.n_struct + self.m {
+            if self.status[j] == ColStatus::Basic || j == q {
+                continue;
+            }
+            evaluated += 1;
+            w_overflow |= devex_raise(&mut devex[j], self.dot_col(rho, j), arq, wq);
+        }
+        self.devex = devex;
+        (w_overflow, evaluated)
+    }
+
     fn extract(&mut self, scratch: &ScratchArena) -> Solution {
         let x: Vec<f64> = (0..self.n_struct).map(|j| self.xval[j]).collect();
         let obj_min: f64 = (0..self.n_struct).map(|j| self.c[j] * self.xval[j]).sum();
@@ -1044,6 +1160,21 @@ impl Simplex {
             certificate: jcr_ctx::cert::Certificate::new("lp"),
         }
     }
+}
+
+/// Raises Devex weight `w` to the candidate `(α_rj/α_rq)²·w_q` of a
+/// nonzero pivot-row entry `α_rj`; returns whether the raised weight
+/// exceeds [`DEVEX_RESET`].
+fn devex_raise(w: &mut f64, arj: f64, arq: f64, wq: f64) -> bool {
+    if arj != 0.0 {
+        let ratio = arj / arq;
+        let cand = ratio * ratio * wq;
+        if cand > *w {
+            *w = cand;
+            return cand > DEVEX_RESET;
+        }
+    }
+    false
 }
 
 fn initial_status(lo: f64, up: f64) -> ColStatus {
@@ -1320,5 +1451,208 @@ mod tests {
             .solve_from_basis(&snap, &jcr_ctx::SolverContext::new())
             .unwrap();
         assert_near(sol.objective, 1.0);
+    }
+
+    // ----- hypersparse Devex pivot row vs. the full-scan reference -------
+
+    use super::{Simplex, Solution, PIVOT_ROW_COLS};
+    use crate::ConId;
+    use jcr_ctx::rng::{Rng, SeedableRng, StdRng};
+    use jcr_ctx::{Counter, SolverContext};
+
+    /// A column as column generation prices it in.
+    struct Column {
+        lo: f64,
+        up: f64,
+        obj: f64,
+        entries: Vec<(ConId, f64)>,
+        /// Entries overwritten to an explicit `0.0` after insertion.
+        zeroed: Vec<ConId>,
+    }
+
+    /// One solve's `x`, duals and objective as raw bits, or its error.
+    type Outcome = Result<(Vec<u64>, Vec<u64>, u64), LpError>;
+
+    /// Everything a solve sequence must reproduce bit for bit.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        outcomes: Vec<Outcome>,
+        pivots: u64,
+        refactorizations: u64,
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn add_column(model: &mut Model, col: &Column) -> usize {
+        let v = model.add_var_with_column(col.lo, col.up, col.obj, &col.entries);
+        for &row in &col.zeroed {
+            model.set_coeff(row, v, 0.0);
+        }
+        v.index()
+    }
+
+    /// Solves `model` cold, then prices in each of `extra` and re-solves
+    /// warm (the column-generation sequence). Returns the run and the
+    /// total count of pivot-row entries evaluated.
+    fn solve_sequence(model: &Model, extra: &[Column], full_pivot_row: bool) -> (Run, u128) {
+        let mut model = model.clone();
+        let ctx = SolverContext::new();
+        let outcome = |r: Result<Solution, LpError>| -> Outcome {
+            r.map(|s| (bits(&s.x), bits(&s.duals), s.objective.to_bits()))
+        };
+        let mut s = Simplex::new(&model);
+        s.full_pivot_row = full_pivot_row;
+        let mut outcomes = vec![outcome(s.solve_with_context(&ctx))];
+        for col in extra {
+            let var = add_column(&mut model, col);
+            s.add_column(&model, var);
+            outcomes.push(outcome(s.resolve_with_context(&model, &ctx)));
+        }
+        let stats = ctx.stats();
+        let row_cols = ctx
+            .obs()
+            .snapshot()
+            .histograms
+            .get(PIVOT_ROW_COLS)
+            .map_or(0, |h| h.sum());
+        let run = Run {
+            outcomes,
+            pivots: stats.counter(Counter::SimplexPivots),
+            refactorizations: stats.counter(Counter::Refactorizations),
+        };
+        (run, row_cols)
+    }
+
+    /// A seeded random bounded LP plus `extra` columns to price in later.
+    /// Rows are created first and columns arrive through
+    /// `add_var_with_column` with their entries in shuffled row order;
+    /// some entries are then overwritten to `0.0`. Row bounds (equality,
+    /// ranged, one-sided) are built around the activity of a point inside
+    /// the bounds, so most instances are feasible. `int_data` draws small
+    /// integers everywhere, which makes pricing and ratio-test ties
+    /// common.
+    fn random_lp(rng: &mut StdRng, int_data: bool, extra: usize) -> (Model, Vec<Column>) {
+        let draw = |rng: &mut StdRng, lo: i64, hi: i64| {
+            if int_data {
+                rng.gen_range(lo..=hi) as f64
+            } else {
+                rng.gen_range(lo as f64..hi as f64)
+            }
+        };
+        // Small and dense, or larger and sparse (hypersparse `ρ`).
+        let (m, n, density) = if rng.gen_bool(0.5) {
+            (rng.gen_range(3..12), rng.gen_range(4..20), 0.4)
+        } else {
+            (rng.gen_range(20..50), rng.gen_range(30..90), 0.08)
+        };
+        let cols: Vec<Column> = (0..n + extra)
+            .map(|_| {
+                let lo = if rng.gen_bool(0.7) {
+                    0.0
+                } else {
+                    draw(rng, -3, 0)
+                };
+                let up = lo + draw(rng, 1, 4);
+                let obj = draw(rng, -3, 3);
+                let mut entries = Vec::new();
+                let mut zeroed = Vec::new();
+                for r in 0..m {
+                    if !rng.gen_bool(density) {
+                        continue;
+                    }
+                    let mut a = draw(rng, -2, 2);
+                    if a == 0.0 {
+                        a = 1.0;
+                    }
+                    entries.push((ConId(r), a));
+                    if rng.gen_bool(0.15) {
+                        zeroed.push(ConId(r));
+                    }
+                }
+                for i in (1..entries.len()).rev() {
+                    entries.swap(i, rng.gen_range(0..=i));
+                }
+                Column {
+                    lo,
+                    up,
+                    obj,
+                    entries,
+                    zeroed,
+                }
+            })
+            .collect();
+        let mut activity = vec![0.0; m];
+        for col in &cols[..n] {
+            let x = col.lo + rng.gen_range(0.0..1.0) * (col.up - col.lo);
+            let x = if int_data { x.round() } else { x };
+            for &(r, a) in &col.entries {
+                if !col.zeroed.contains(&r) {
+                    activity[r.0] += a * x;
+                }
+            }
+        }
+        let mut model = Model::new(if rng.gen_bool(0.5) {
+            Sense::Minimize
+        } else {
+            Sense::Maximize
+        });
+        for act in activity {
+            let (lower, upper) = match rng.gen_range(0..4) {
+                0 => (act, act),
+                1 => (act - draw(rng, 0, 2), act + draw(rng, 0, 2)),
+                2 => (f64::NEG_INFINITY, act + draw(rng, 0, 2)),
+                _ => (act - draw(rng, 0, 2), f64::INFINITY),
+            };
+            model.add_row(lower, upper, &[]);
+        }
+        for col in &cols[..n] {
+            add_column(&mut model, col);
+        }
+        let extra = cols.into_iter().skip(n).collect();
+        (model, extra)
+    }
+
+    /// Solves seeded random LPs through the row-index pivot row and the
+    /// full-scan reference and requires bit-identical runs, with the index
+    /// evaluating fewer pivot-row entries overall.
+    fn assert_pivot_row_equivalence(seeds: std::ops::Range<u64>, int_data: bool, extra: usize) {
+        let (mut pivots, mut indexed, mut full) = (0, 0, 0);
+        for seed in seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (model, extra) = random_lp(&mut rng, int_data, extra);
+            let (run, row_cols) = solve_sequence(&model, &extra, false);
+            let (reference, reference_cols) = solve_sequence(&model, &extra, true);
+            assert_eq!(run, reference, "seed {seed}: pivot-row passes diverge");
+            assert!(
+                row_cols <= reference_cols,
+                "seed {seed}: the index did extra work"
+            );
+            pivots += run.pivots;
+            indexed += row_cols;
+            full += reference_cols;
+        }
+        assert!(pivots > 0, "the cases must pivot");
+        assert!(
+            indexed < full,
+            "the index must skip work: {indexed} vs {full}"
+        );
+    }
+
+    #[test]
+    fn pivot_row_index_is_bit_identical_on_random_bounded_lps() {
+        assert_pivot_row_equivalence(0..80, false, 0);
+    }
+
+    #[test]
+    fn pivot_row_index_is_bit_identical_on_tie_heavy_integer_lps() {
+        assert_pivot_row_equivalence(1000..1080, true, 0);
+    }
+
+    #[test]
+    fn pivot_row_index_is_bit_identical_across_column_generation() {
+        assert_pivot_row_equivalence(2000..2040, false, 12);
+        assert_pivot_row_equivalence(3000..3040, true, 12);
     }
 }
